@@ -4,10 +4,15 @@
 PYTHON ?= python
 PYTHONPATH_SRC := PYTHONPATH=src
 
-.PHONY: test lint bench bench-smoke bench-analysis bench-scale check
+.PHONY: test lint bench bench-smoke bench-analysis bench-scale bench-tests check
 
 test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
+
+# Self-tests of the benchmark harness under bench/ (~8 s): the
+# BENCHMARK.json schema, the tracer and the --check verdicts.
+bench-tests:
+	$(PYTHONPATH_SRC) $(PYTHON) -m pytest bench/tests -q
 
 # Static checks via ruff (configured in pyproject.toml).  The lab image
 # doesn't bundle ruff and installing deps is off the table there, so the

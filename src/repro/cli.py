@@ -31,6 +31,7 @@ from typing import List, Optional
 from repro import CellularDNSStudy, StudyConfig
 from repro.analysis.export import export_study_figures
 from repro.core.errors import DatasetError
+from repro.core.heap import pause_cyclic_gc
 from repro.measure.backends import BACKEND_CHOICES
 from repro.measure.campaign import EXECUTOR_CHOICES
 from repro.measure.records import Dataset
@@ -75,6 +76,13 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args) -> int:
     study = _study_from_args(args)
+    # Join the warm pool's workers on every exit path rather than leave
+    # them to the campaign's ``__del__``.
+    with study.campaign:
+        return _run_study(study, args)
+
+
+def _run_study(study: CellularDNSStudy, args) -> int:
     if getattr(args, "executor", "auto") == "auto":
         # Surface why auto picked what it picked (and the measured
         # bootstrap/simulate estimates it weighed).
@@ -456,10 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point."""
+    """Entry point.
+
+    The handler runs with cyclic GC paused (see :mod:`repro.core.heap`);
+    the caller's collector state is restored on return and on error,
+    since tests and tracers call ``main`` in-process.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    restore_gc = pause_cyclic_gc()
+    try:
+        return args.handler(args)
+    finally:
+        restore_gc()
 
 
 if __name__ == "__main__":

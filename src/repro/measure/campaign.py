@@ -59,6 +59,7 @@ peak memory is O(shards), not O(campaign).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import multiprocessing
 import os
@@ -74,6 +75,7 @@ from repro.cellnet.device import MobileDevice
 from repro.cellnet.mobility import MobilityModel
 from repro.core.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.core.errors import ConfigError
+from repro.core.heap import pause_cyclic_gc
 from repro.core.world import (
     World,
     WorldConfig,
@@ -386,6 +388,18 @@ class Campaign:
         #: (repeated serial runs re-boot pristine state first).
         self._ran_serial = False
 
+    # -- lifecycle -----------------------------------------------------------
+
+    def close(self, wait: bool = True) -> None:
+        """Release executor resources; the in-process executor holds none."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
+
     # -- population ----------------------------------------------------------
 
     def _build_devices(self) -> List[MobileDevice]:
@@ -629,8 +643,13 @@ def _init_shard_worker(
     args — inherited copy-on-write under fork contexts, shipped once
     per worker under spawn — and booting from it skips the world
     rebuild (``build_world`` stays as the automatic fallback).
+
+    Cyclic GC stays paused for the worker's lifetime (see
+    :mod:`repro.core.heap`): spawn and forkserver workers start with
+    the collector enabled, whatever the parent's state.
     """
     global _WORKER_BOOT, _WORKER_CAMPAIGN, _WORKER_TOKEN
+    pause_cyclic_gc()
     _WORKER_BOOT = (snapshot, world_config, config)
     _WORKER_CAMPAIGN = None
     _WORKER_TOKEN = None
@@ -653,6 +672,11 @@ def _worker_campaign(run_token: int) -> Campaign:
     campaign = _WORKER_CAMPAIGN
     if campaign is not None and _WORKER_TOKEN == run_token:
         return campaign
+    if campaign is not None:
+        # The stale campaign's world is cyclic garbage, and this worker
+        # runs with cyclic GC paused: free it before booting another.
+        campaign = _WORKER_CAMPAIGN = None
+        gc.collect()
     snapshot, world_config, config = _WORKER_BOOT
     world, mode = boot_world(snapshot, world_config)
     campaign = Campaign(world, config, snapshot=snapshot)
@@ -769,8 +793,11 @@ class _WarmPoolMixin:
     processes stay warm, so repeat runs pay zero interpreter spawns and
     (via run tokens) one snapshot boot instead of a world rebuild.
     Lifecycle is explicit: :meth:`close` (idempotent) or use the
-    campaign as a context manager; garbage collection closes without
-    waiting as a backstop.
+    campaign as a context manager.  ``__del__`` closes without waiting
+    when the last reference drops, but a campaign caught in a reference
+    cycle is only dropped by the cyclic collector, which batch
+    processes keep paused (:mod:`repro.core.heap`) — so owners close
+    it themselves, as the CLI does.
     """
 
     def _init_pool_state(self, mp_context: str) -> None:
@@ -819,13 +846,6 @@ class _WarmPoolMixin:
         self._executor_workers = 0
         if pool is not None:
             pool.shutdown(wait=wait)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
     def __del__(self):
         try:

@@ -1246,6 +1246,8 @@ class Dataset:
 
             resolved = get_backend(backend or "jsonl")
         if resolved.name == "jsonl":
+            # Iterate the file: reading it whole would add the full text
+            # and its list of lines to the load's peak memory.
             with open(path, "r", encoding="utf-8") as handle:
-                return cls.loads_jsonl(handle.read())
+                return cls.load_jsonl(handle)
         return resolved.load(path)

@@ -81,6 +81,40 @@ class TestCommands:
             == Dataset.load(str(archived_dataset)).content_hash()
         )
 
+    def test_run_sharded_joins_pool_workers(self, tmp_path, monkeypatch,
+                                            capsys):
+        """``run`` closes the warm pool itself: no worker outlives
+        ``main``, even when the campaign sits in a reference cycle that
+        only the (paused) cyclic collector could break."""
+        import multiprocessing
+
+        from repro import cli
+        from repro.core.heap import pause_cyclic_gc
+
+        build_study = cli._study_from_args
+
+        def study_in_cycle(args):
+            study = build_study(args)
+            study.campaign.cycle = study.campaign
+            return study
+
+        monkeypatch.setattr(cli, "_study_from_args", study_in_cycle)
+        # Pools other tests left to their own ``__del__`` may still be
+        # winding down; only workers this run started count.
+        before = set(multiprocessing.active_children())
+        # Keep the collector paused after ``main`` too, as a batch
+        # caller would, so nothing but ``run`` itself can close the pool.
+        restore_gc = pause_cyclic_gc()
+        try:
+            code = main([
+                "run", *SMALL, "--executor", "sharded", "--workers", "2",
+                "-o", str(tmp_path / "sharded.jsonl"),
+            ])
+            assert code == 0
+            assert set(multiprocessing.active_children()) - before == set()
+        finally:
+            restore_gc()
+
     def test_export_from_dataset(self, archived_dataset, tmp_path, capsys):
         out_dir = tmp_path / "figures"
         code = main([

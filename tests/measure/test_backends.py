@@ -187,6 +187,18 @@ class TestTruncatedTail:
         clean = Dataset.load_jsonl(lines[:5])
         assert dataset.content_hash() == clean.content_hash()
 
+    def test_load_file_with_torn_final_line(self, serial_dataset, tmp_path):
+        # Dataset.load streams the file line by line; a tear with no
+        # trailing newline must still read as truncation.
+        lines = self._lines(serial_dataset)
+        torn = lines[:5] + [lines[5][: len(lines[5]) // 2]]
+        path = tmp_path / "torn.jsonl"
+        path.write_text("\n".join(torn), encoding="utf-8")
+        with pytest.raises(TruncatedDatasetError) as excinfo:
+            Dataset.load(str(path))
+        assert excinfo.value.clean_records == 5
+        assert excinfo.value.partial_line == torn[-1]
+
     def test_mid_archive_corruption_still_raises_dataset_error(
         self, serial_dataset
     ):
